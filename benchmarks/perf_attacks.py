@@ -49,7 +49,7 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 from attack_reference import reference_perturb  # noqa: E402
 from common import check_regression, load_baseline  # noqa: E402
 from repro.attacks.base import Classifier  # noqa: E402
-from repro.attacks.registry import create_attack  # noqa: E402
+from repro.attacks.registry import ATTACKS  # noqa: E402
 from repro.core.evaluation import select_correctly_classified  # noqa: E402
 from repro.experiments.zoo import lenet_digits  # noqa: E402
 from repro.nn.losses import CrossEntropyLoss  # noqa: E402
@@ -176,7 +176,7 @@ def run_attack_pair(name, params, clf, baseline, x, y, repeats):
         kwargs["seed"] = SEED
 
     def batched():
-        attack = create_attack(name, **kwargs)
+        attack = ATTACKS.create(name, **kwargs)
         clf.reset_counters()
         adversarial = attack.perturb(clf, x, y)
         return adversarial, clf.query_count, clf.gradient_count
@@ -212,7 +212,7 @@ def smoke_parity(clf, x, y, params_by_attack):
         if name in SEEDED:
             kwargs["seed"] = SEED
         for batch in (1, 3, BATCH):
-            attack = create_attack(name, **kwargs)
+            attack = ATTACKS.create(name, **kwargs)
             clf.reset_counters()
             adv_b = attack.perturb(clf, x[:batch], y[:batch])
             counts_b = (clf.query_count, clf.gradient_count)

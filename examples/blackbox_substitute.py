@@ -11,7 +11,12 @@ Run with:  python examples/blackbox_substitute.py
 
 from repro.attacks import PGD
 from repro.attacks.base import Classifier
-from repro.core import DefensiveApproximation, evaluate_black_box, train_substitute
+from repro.core import (
+    DefensiveApproximation,
+    select_correctly_classified,
+    train_substitute,
+    transfer_counts,
+)
 from repro.experiments import lenet_digits
 from repro.nn import build_lenet5
 
@@ -35,17 +40,22 @@ def main() -> None:
         substitute = train_substitute(
             victim.predict, query_set, build_model=substitute_factory, epochs=15, seed=21
         )
-        evaluation = evaluate_black_box(
-            victim,
-            Classifier(substitute),
+        # craft on the substitute, replay on the victim: the transfer
+        # measurement with the substitute as the source
+        source = Classifier(substitute)
+        victims = select_correctly_classified(source, split.test.images, split.test.labels, 15)
+        counts = transfer_counts(
+            source,
+            {"victim": victim},
             PGD(epsilon=0.1, steps=15),
-            split.test.images,
-            split.test.labels,
-            max_samples=15,
+            split.test.images[victims],
+            split.test.labels[victims],
         )
-        print(f"  PGD success on the substitute: {100 * evaluation.substitute_success_rate:.0f}%")
-        print(f"  PGD success on the victim:     {100 * evaluation.victim_success_rate:.0f}%")
-        print(f"  victim robustness:             {100 * evaluation.victim_robustness:.0f}%")
+        substitute_rate = counts["n_fooled"] / max(counts["n"], 1)
+        victim_rate = counts["targets"]["victim"] / max(counts["n_fooled"], 1)
+        print(f"  PGD success on the substitute: {100 * substitute_rate:.0f}%")
+        print(f"  PGD success on the victim:     {100 * victim_rate:.0f}%")
+        print(f"  victim robustness:             {100 * (1 - victim_rate):.0f}%")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ successful adversarial examples is compared.
 Run with:  python examples/whitebox_noise_budget.py
 """
 
+import numpy as np
+
 from repro.attacks import DeepFool
-from repro.core import DefensiveApproximation, evaluate_white_box
+from repro.core import DefensiveApproximation, select_correctly_classified, whitebox_counts
 from repro.experiments import lenet_digits
 
 
@@ -23,18 +25,19 @@ def main() -> None:
         ("Defensive Approximation classifier", defense.defended_classifier()),
     ):
         print(f"\nAttacking the {name} with white-box DeepFool...")
-        evaluation = evaluate_white_box(
+        # only correctly classified samples are attacked: fooling an already
+        # misclassified one needs no perturbation
+        victims = select_correctly_classified(victim, split.test.images, split.test.labels, 5)
+        counts = whitebox_counts(
             victim,
             DeepFool(max_iterations=30),
-            split.test.images,
-            split.test.labels,
-            max_samples=5,
-            victim_name=name,
+            split.test.images[victims],
+            split.test.labels[victims],
         )
-        print(f"  attack success rate: {100 * evaluation.success_rate:.0f}%")
-        print(f"  mean L2 perturbation: {evaluation.mean_l2:.3f}")
-        print(f"  mean MSE:             {evaluation.mean_mse:.5f}")
-        print(f"  mean PSNR:            {evaluation.mean_psnr:.1f} dB")
+        print(f"  attack success rate: {100 * counts['n_success'] / max(counts['n'], 1):.0f}%")
+        print(f"  mean L2 perturbation: {np.mean(counts['l2']):.3f}")
+        print(f"  mean MSE:             {np.mean(counts['mse']):.5f}")
+        print(f"  mean PSNR:            {np.mean(counts['psnr']):.1f} dB")
 
     print(
         "\nA white-box attacker can always succeed eventually; the defense shows up as a\n"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/source consistency lint (CI's docs-lint job).
 
-Two checks, both two-way where that makes sense:
+Three checks, two-way where that makes sense:
 
 1. **Environment variables** -- every ``REPRO_*`` name read anywhere in
    ``src/`` or ``benchmarks/`` must be documented in
@@ -11,6 +11,12 @@ Two checks, both two-way where that makes sense:
 2. **Dead relative links** -- every relative markdown link in ``docs/*.md``
    and ``README.md`` must point at a file that exists (``#anchors`` are
    stripped; absolute URLs are ignored).
+
+3. **Stale source paths** -- every backticked path under ``src/``,
+   ``tests/``, ``examples/`` or ``scripts/`` in ``docs/*.md`` and
+   ``README.md`` must exist.
+   ``benchmarks/`` paths are left alone: ``benchmarks/results/`` is
+   git-ignored output that need not exist in a checkout.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.  No
 dependencies beyond the standard library, so it runs anywhere CI does:
@@ -34,6 +40,9 @@ ENV_RE = re.compile(r"REPRO_[A-Z]+(?:_[A-Z]+)*")
 
 #: inline markdown links: [text](target) -- images share the syntax
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: inline code spans naming a repo path, e.g. `src/repro/store/`
+PATH_RE = re.compile(r"`((?:src|tests|examples|scripts)/[^`\s]*)`")
 
 
 def source_env_vars() -> dict:
@@ -92,8 +101,21 @@ def check_links() -> list:
     return errors
 
 
+def missing_paths(text: str) -> list:
+    """Backticked repo paths in ``text`` that do not exist."""
+    return [path for path in PATH_RE.findall(text) if not (REPO / path).exists()]
+
+
+def check_paths() -> list:
+    return [
+        f"{path.relative_to(REPO)}: stale path -> {missing}"
+        for path in markdown_files()
+        for missing in missing_paths(path.read_text())
+    ]
+
+
 def main() -> int:
-    errors = check_env_vars() + check_links()
+    errors = check_env_vars() + check_links() + check_paths()
     for error in errors:
         print(f"docs-lint: {error}", file=sys.stderr)
     if errors:

@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that editable installs work on
-offline machines whose pip/setuptools combination cannot use PEP 660
-(no ``wheel`` package available).
+The package's only build configuration: a plain ``setup.py`` keeps
+editable installs (``python setup.py develop``) working on offline
+machines whose pip/setuptools combination cannot use PEP 660 (no
+``wheel`` package available).
 """
 
 from setuptools import find_packages, setup

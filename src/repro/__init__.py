@@ -10,7 +10,7 @@
 * :mod:`repro.datasets` -- synthetic MNIST-like and CIFAR-like datasets;
 * :mod:`repro.attacks` -- the eight evasion attacks of the paper's Table 1;
 * :mod:`repro.core` -- the Defensive Approximation defense and the
-  transferability / black-box / white-box evaluation harnesses;
+  craft-and-replay / white-box evaluation primitives;
 * :mod:`repro.hw` -- the analytical energy/delay cost model;
 * :mod:`repro.registry` -- the unified component registry every pluggable
   piece (multipliers, adder cells, attacks, models, datasets, zoo entries,
@@ -22,9 +22,13 @@
 
 Public API quickstart::
 
-    from repro import Registry, Runner, create_attack, get_multiplier
+    from repro import Runner
+    from repro.arith.fpm import MULTIPLIERS
+    from repro.attacks import ATTACKS
 
     Runner(fast=True).run("table04_blackbox_mnist")
+    axfpm = MULTIPLIERS.create("axfpm")
+    fgsm = ATTACKS.create("fgsm", epsilon=0.1)
 
 (The registry *hub accessor* is ``repro.registry.registry`` -- it is not
 re-exported here because the ``repro.registry`` submodule shadows the name.)
@@ -48,14 +52,6 @@ def __getattr__(name):
         from repro.core.defense import DefensiveApproximation
 
         return DefensiveApproximation
-    if name == "get_multiplier":
-        from repro.arith.fpm import get_multiplier
-
-        return get_multiplier
-    if name == "create_attack":
-        from repro.attacks.registry import create_attack
-
-        return create_attack
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
@@ -70,6 +66,4 @@ __all__ = [
     "list_experiments",
     "get_experiment",
     "DefensiveApproximation",
-    "get_multiplier",
-    "create_attack",
 ]

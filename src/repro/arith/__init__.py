@@ -38,7 +38,6 @@ from repro.arith.adders import (
     AMA5,
     AdderCell,
     ExactFullAdder,
-    get_cell,
     list_cells,
 )
 from repro.arith.array_multiplier import ArrayMultiplier, HeterogeneousCellPolicy, UniformCellPolicy
@@ -63,7 +62,6 @@ from repro.arith.fpm import (
     ExactMultiplier,
     HEAPMultiplier,
     Multiplier,
-    get_multiplier,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "AMA5",
     "AdderCell",
     "ExactFullAdder",
-    "get_cell",
     "list_cells",
     "ArrayMultiplier",
     "UniformCellPolicy",
@@ -98,5 +95,4 @@ __all__ = [
     "AxFPM",
     "HEAPMultiplier",
     "Bfloat16Multiplier",
-    "get_multiplier",
 ]

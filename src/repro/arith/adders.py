@@ -195,8 +195,3 @@ del _cell
 def list_cells() -> List[str]:
     """Names of all registered adder cells."""
     return sorted(ADDER_CELLS.names())
-
-
-def get_cell(name: str) -> AdderCell:
-    """Look up an adder cell by name (shim over the ``"adder-cell"`` registry)."""
-    return ADDER_CELLS.create(name)

@@ -32,7 +32,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.arith.adders import AdderCell, ExactFullAdder, get_cell
+from repro.arith.adders import ADDER_CELLS, AdderCell, ExactFullAdder
+
+
+def _resolve_cell(cell: Union[str, AdderCell]) -> AdderCell:
+    """An adder cell given by instance or by ``"adder-cell"`` registry name."""
+    return ADDER_CELLS.create(cell) if isinstance(cell, str) else cell
 
 
 class CellPolicy(ABC):
@@ -52,7 +57,7 @@ class UniformCellPolicy(CellPolicy):
     """Every cell of the array uses the same adder."""
 
     def __init__(self, cell: Union[str, AdderCell]):
-        self.cell = get_cell(cell) if isinstance(cell, str) else cell
+        self.cell = _resolve_cell(cell)
 
     def cell_at(self, row: int, col: int, n_bits: int) -> AdderCell:
         return self.cell
@@ -85,8 +90,8 @@ class HeterogeneousCellPolicy(CellPolicy):
         exact_above_weight: float = 0.5,
         relative: bool = True,
     ):
-        self.approx_cell = get_cell(approx_cell) if isinstance(approx_cell, str) else approx_cell
-        self.exact_cell = get_cell(exact_cell) if isinstance(exact_cell, str) else exact_cell
+        self.approx_cell = _resolve_cell(approx_cell)
+        self.exact_cell = _resolve_cell(exact_cell)
         self.exact_above_weight = exact_above_weight
         self.relative = relative
 

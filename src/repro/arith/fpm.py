@@ -297,8 +297,3 @@ class HEAPMultiplier(ApproxFPM):
 def list_multipliers() -> list:
     """Names of all registered multipliers."""
     return MULTIPLIERS.names()
-
-
-def get_multiplier(name: str, **kwargs) -> Multiplier:
-    """Instantiate a multiplier by name (shim over the ``"multiplier"`` registry)."""
-    return MULTIPLIERS.create(name, **kwargs)

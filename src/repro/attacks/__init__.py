@@ -39,7 +39,7 @@ from repro.attacks.hopskipjump import HopSkipJump
 from repro.attacks.jsma import JSMA
 from repro.attacks.lsa import LocalSearchAttack
 from repro.attacks.pgd import PGD
-from repro.attacks.registry import ATTACK_SPECS, AttackSpec, create_attack, list_attacks
+from repro.attacks.registry import ATTACKS, AttackSpec
 
 __all__ = [
     "Attack",
@@ -53,8 +53,6 @@ __all__ = [
     "LocalSearchAttack",
     "BoundaryAttack",
     "HopSkipJump",
+    "ATTACKS",
     "AttackSpec",
-    "ATTACK_SPECS",
-    "create_attack",
-    "list_attacks",
 ]

@@ -3,15 +3,16 @@
 Each entry records the attack's category (gradient / score / decision based),
 the norm it minimises, whether it is one-shot or iterative, and the strength
 rating the paper quotes from Akhtar & Mian (2018).  The entries live in the
-unified ``"attack"`` registry (:mod:`repro.registry`); ``ATTACK_SPECS``,
-:func:`create_attack` and :func:`list_attacks` are kept as the historical
-entry points over it.
+unified ``"attack"`` registry (:mod:`repro.registry`): ``ATTACKS.create(name,
+**params)`` instantiates one, ``ATTACKS.names()`` lists them in Table 1 order
+and ``ATTACKS.metadata(name)`` holds the Table 1 columns plus the
+:class:`AttackSpec` itself under ``"spec"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Type
+from typing import Type
 
 from repro.attacks.base import Attack
 from repro.attacks.boundary import BoundaryAttack
@@ -47,37 +48,6 @@ class AttackSpec:
         return self.attack_class(**params)
 
 
-class _AttackSpecView(Dict[str, AttackSpec]):
-    """Legacy dict view over the attack registry.
-
-    :func:`register_attack` populates the dict storage itself, so every
-    inherited dict method works; iteration and membership delegate to the
-    registry so entries registered or removed directly on :data:`ATTACKS`
-    are still observed.  Attacks registered directly on :data:`ATTACKS`
-    without an :class:`AttackSpec` are usable through the registry API but
-    have no spec to expose here -- register through :func:`register_attack`
-    for full legacy-dict visibility.
-    """
-
-    def __missing__(self, name: str) -> AttackSpec:
-        spec = ATTACKS.metadata(name).get("spec")
-        if spec is None:
-            raise KeyError(name)
-        return spec
-
-    def __iter__(self):
-        return iter(ATTACKS.names())
-
-    def __len__(self) -> int:
-        return len(ATTACKS)
-
-    def __contains__(self, name: object) -> bool:
-        return name in ATTACKS
-
-
-ATTACK_SPECS: Dict[str, AttackSpec] = _AttackSpecView()
-
-
 def register_attack(spec: AttackSpec) -> AttackSpec:
     """Add an attack to the unified registry, keyed by its spec name."""
     ATTACKS.register(
@@ -91,9 +61,6 @@ def register_attack(spec: AttackSpec) -> AttackSpec:
             "strength": spec.strength,
         },
     )
-    # keep the legacy view's own storage in sync so inherited dict methods
-    # (.copy(), ==, .items() ...) see the same entries as the registry
-    dict.__setitem__(ATTACK_SPECS, spec.name, spec)
     return spec
 
 
@@ -110,13 +77,3 @@ for _spec in (
 ):
     register_attack(_spec)
 del _spec
-
-
-def list_attacks() -> List[str]:
-    """Names of all registered attacks, in the paper's Table 1 order."""
-    return ATTACKS.names()
-
-
-def create_attack(name: str, **overrides) -> Attack:
-    """Instantiate an attack by name (shim over the ``"attack"`` registry)."""
-    return ATTACKS.create(name, **overrides)

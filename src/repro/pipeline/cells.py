@@ -36,8 +36,7 @@ from repro.arith.fpm import MULTIPLIERS
 from repro.attacks.base import Attack, Classifier
 from repro.attacks.registry import ATTACKS
 from repro.core.confidence import compare_confidence
-from repro.core.evaluation import select_correctly_classified
-from repro.core.metrics import l2_distance, mse, psnr
+from repro.core.evaluation import select_correctly_classified, transfer_counts, whitebox_counts
 from repro.nn.approx import ApproxConv2d, prime_gemm_kernels
 from repro.nn.layers import Conv2d
 from repro.nn.models import VARIANTS
@@ -200,7 +199,7 @@ def zoo_surfaces(payload: Dict[str, Any], *fields: str) -> tuple:
 
 #: surfaces every attack-evaluation cell shares: the attack numerics, the
 #: model forward/backward numerics it queries, the dataset its victims come
-#: from and the selection/success accounting of the evaluation harness
+#: from and the selection/success accounting of :mod:`repro.core.evaluation`
 _ATTACK_SURFACES = ("attacks", "datasets", "evaluation", "models")
 
 
@@ -343,22 +342,8 @@ def _transferability_shard(runner, payload: Dict[str, Any], shard_index: int) ->
     source = runner.classifier(spec, payload["source"])
     selector = ("source", payload["source"], payload.get("dq_zoo"))
     x, y, offset = _shard_samples(runner, payload, source, shard_index, selector)
-    out: Dict[str, Any] = {
-        "n": int(len(x)),
-        "n_fooled": 0,
-        "targets": {name: 0 for name in payload["targets"]},
-    }
-    if not len(x):
-        return out
-    result = _seeded_attack(payload, offset).generate(source, x, y)
-    adv = result.adversarial[result.success]
-    adv_labels = y[result.success]
-    out["n_fooled"] = int(result.success.sum())
-    if len(adv):
-        for name in payload["targets"]:
-            preds = runner.classifier(spec, name).predict(adv)
-            out["targets"][name] = int(np.sum(preds != adv_labels))
-    return out
+    targets = {name: runner.classifier(spec, name) for name in payload["targets"]}
+    return transfer_counts(source, targets, _seeded_attack(payload, offset), x, y)
 
 
 def _transferability_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -396,23 +381,14 @@ def _blackbox_shard(runner, payload: Dict[str, Any], shard_index: int) -> Dict[s
     substitute = Classifier(runner.zoo(payload["substitute"], victim=payload["victim"]))
     selector = ("substitute", payload["substitute"], payload["victim"])
     x, y, offset = _shard_samples(runner, payload, substitute, shard_index, selector)
-    out = {"n": int(len(x)), "n_fooled": 0, "n_victim_fooled": 0}
-    if not len(x):
-        return out
-    result = _seeded_attack(payload, offset).generate(substitute, x, y)
-    adv = result.adversarial[result.success]
-    adv_labels = y[result.success]
-    out["n_fooled"] = int(result.success.sum())
-    if len(adv):
-        victim = runner.classifier(spec, payload["victim"])
-        out["n_victim_fooled"] = int(np.sum(victim.predict(adv) != adv_labels))
-    return out
+    victim = {"victim": runner.classifier(spec, payload["victim"])}
+    return transfer_counts(substitute, victim, _seeded_attack(payload, offset), x, y)
 
 
 def _blackbox_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Dict[str, Any]:
     n = sum(s["n"] for s in shards)
     fooled = sum(s["n_fooled"] for s in shards)
-    victim_fooled = sum(s["n_victim_fooled"] for s in shards)
+    victim_fooled = sum(s["targets"]["victim"] for s in shards)
     return {
         "n_crafted": n,
         "substitute_success_rate": _ratio(fooled, n),
@@ -446,18 +422,7 @@ def _whitebox_shard(runner, payload: Dict[str, Any], shard_index: int) -> Dict[s
     victim = runner.classifier(spec, payload["victim"])
     selector = ("victim", payload["victim"], payload.get("dq_zoo"))
     x, y, offset = _shard_samples(runner, payload, victim, shard_index, selector)
-    out: Dict[str, Any] = {"n": int(len(x)), "n_success": 0, "l2": [], "mse": [], "psnr": []}
-    if not len(x):
-        return out
-    result = _seeded_attack(payload, offset).generate(victim, x, y)
-    adv = result.adversarial[result.success]
-    clean = x[result.success]
-    out["n_success"] = int(result.success.sum())
-    if len(adv):
-        out["l2"] = [float(v) for v in l2_distance(clean, adv)]
-        out["mse"] = [float(v) for v in mse(clean, adv)]
-        out["psnr"] = [float(v) for v in psnr(clean, adv)]
-    return out
+    return whitebox_counts(victim, _seeded_attack(payload, offset), x, y)
 
 
 def _whitebox_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Dict[str, Any]:

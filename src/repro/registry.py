@@ -8,9 +8,11 @@ variants and experiment kinds -- is registered in a namespaced
 :class:`~repro.pipeline.spec.ExperimentSpec` names components as strings and
 the :class:`~repro.pipeline.runner.Runner` instantiates them from here.
 
-The historical entry points (:func:`repro.arith.fpm.get_multiplier`,
-:func:`repro.arith.adders.get_cell`, :func:`repro.attacks.create_attack`) are
-thin shims over these registries, so existing code keeps working.
+Each owning package registers its components when it is imported and exposes
+its registry under a module constant -- ``MULTIPLIERS`` in
+:mod:`repro.arith.fpm`, ``ADDER_CELLS`` in :mod:`repro.arith.adders`,
+``ATTACKS`` in :mod:`repro.attacks` -- so ``ATTACKS.create("fgsm",
+epsilon=0.1)`` is the one way to build a component by name.
 
 Usage::
 

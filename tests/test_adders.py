@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.arith.adders import (
+    ADDER_CELLS,
     AMA1,
     AMA2,
     AMA3,
     AMA4,
     AMA5,
     ExactFullAdder,
-    get_cell,
     list_cells,
 )
 
@@ -112,9 +112,9 @@ def test_registry_contains_all_cells():
 
 
 def test_registry_lookup_and_unknown_cell():
-    assert isinstance(get_cell("ama5"), AMA5)
+    assert isinstance(ADDER_CELLS.create("ama5"), AMA5)
     with pytest.raises(KeyError):
-        get_cell("does-not-exist")
+        ADDER_CELLS.create("does-not-exist")
 
 
 def test_truth_table_has_eight_rows():

@@ -15,7 +15,7 @@ import pytest
 
 from attack_reference import reference_perturb
 from repro.attacks.base import QUERY_STATS
-from repro.attacks.registry import create_attack
+from repro.attacks.registry import ATTACKS
 
 #: shrunken-but-representative parameters per attack (shared by both sides)
 PARITY_CASES = {
@@ -44,7 +44,7 @@ def _attack(name, seed_offset=0):
     params = dict(PARITY_CASES[name])
     if name in SEEDED:
         params["seed"] = SEED
-    attack = create_attack(name, **params)
+    attack = ATTACKS.create(name, **params)
     attack.seed_offset = seed_offset
     return attack
 

@@ -18,7 +18,7 @@ from repro.attacks import (
     HopSkipJump,
     LocalSearchAttack,
 )
-from repro.attacks.registry import ATTACK_SPECS, create_attack, list_attacks
+from repro.attacks.registry import ATTACKS
 from repro.core.metrics import l0_distance, linf_distance
 
 
@@ -155,22 +155,22 @@ def test_attack_result_bookkeeping(tiny_classifier, attack_samples):
 
 
 def test_registry_lists_all_eight_attacks():
-    names = list_attacks()
+    names = ATTACKS.names()
     assert len(names) == 8
     for expected in ("fgsm", "pgd", "jsma", "cw", "deepfool", "lsa", "boundary", "hsj"):
         assert expected in names
 
 
 def test_registry_creates_attacks_with_overrides():
-    attack = create_attack("fgsm", epsilon=0.3)
+    attack = ATTACKS.create("fgsm", epsilon=0.3)
     assert isinstance(attack, FGSM)
     assert attack.epsilon == 0.3
     with pytest.raises(KeyError):
-        create_attack("unknown-attack")
+        ATTACKS.create("unknown-attack")
 
 
 def test_registry_metadata_matches_table1():
-    assert ATTACK_SPECS["cw"].strength == 5
-    assert ATTACK_SPECS["fgsm"].learning == "one-shot"
-    assert ATTACK_SPECS["boundary"].category == "decision-based"
-    assert ATTACK_SPECS["jsma"].norm == "L0"
+    assert ATTACKS.metadata("cw")["strength"] == 5
+    assert ATTACKS.metadata("fgsm")["learning"] == "one-shot"
+    assert ATTACKS.metadata("boundary")["category"] == "decision-based"
+    assert ATTACKS.metadata("jsma")["norm"] == "L0"

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arith.fpm import (
+    MULTIPLIERS,
     ApproxFPM,
     AxFPM,
     Bfloat16Multiplier,
     ExactMultiplier,
     HEAPMultiplier,
-    get_multiplier,
 )
 
 operands = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=32)
@@ -156,12 +156,12 @@ def test_frac_bits_validation():
 
 
 def test_multiplier_registry():
-    assert isinstance(get_multiplier("exact"), ExactMultiplier)
-    assert isinstance(get_multiplier("axfpm", frac_bits=6), AxFPM)
-    assert isinstance(get_multiplier("heap"), HEAPMultiplier)
-    assert isinstance(get_multiplier("bfloat16"), Bfloat16Multiplier)
+    assert isinstance(MULTIPLIERS.create("exact"), ExactMultiplier)
+    assert isinstance(MULTIPLIERS.create("axfpm", frac_bits=6), AxFPM)
+    assert isinstance(MULTIPLIERS.create("heap"), HEAPMultiplier)
+    assert isinstance(MULTIPLIERS.create("bfloat16"), Bfloat16Multiplier)
     with pytest.raises(KeyError):
-        get_multiplier("unknown")
+        MULTIPLIERS.create("unknown")
 
 
 def test_callable_interface():

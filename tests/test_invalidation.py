@@ -8,6 +8,7 @@ a kernel tweak recomputes approximate-arithmetic cells while clean-accuracy
 and dataset cells stay warm.
 """
 
+import importlib.util
 import json
 import multiprocessing
 import subprocess
@@ -299,9 +300,23 @@ def test_cache_cli_stats_explain_and_stale_gc(tmp_path, monkeypatch, capsys):
 
 
 # ------------------------------------------------------------------- docs lint
+DOCS_LINT = Path(__file__).resolve().parent.parent / "scripts" / "docs_lint.py"
+
+
 def test_docs_lint_passes():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "docs_lint.py"
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True
+        [sys.executable, str(DOCS_LINT)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_docs_lint_reports_stale_source_paths():
+    spec = importlib.util.spec_from_file_location("_docs_lint", DOCS_LINT)
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    snippet = (
+        "The store lives in `src/repro/store.py`; cells in `src/repro/pipeline/cells.py`,\n"
+        "tested by `tests/test_invalidation.py`; results land in\n"
+        "`benchmarks/results/fig03.json`."
+    )
+    assert lint.missing_paths(snippet) == ["src/repro/store.py"]

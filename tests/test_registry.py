@@ -99,16 +99,3 @@ def test_builtin_namespaces_are_populated():
         registry("zoo").names()
     )
 
-
-def test_legacy_shims_resolve_through_registries():
-    from repro.arith import AxFPM, get_cell, get_multiplier
-    from repro.arith.adders import AMA5
-    from repro.attacks import ATTACK_SPECS, create_attack
-    from repro.attacks.fgsm import FGSM
-
-    assert isinstance(get_multiplier("axfpm", frac_bits=6), AxFPM)
-    assert isinstance(get_cell("ama5"), AMA5)
-    assert isinstance(create_attack("fgsm", epsilon=0.25), FGSM)
-    assert ATTACK_SPECS["cw"].strength == 5
-    assert "fgsm" in ATTACK_SPECS
-    assert len(list(ATTACK_SPECS.items())) == len(ATTACK_SPECS)
