@@ -4,8 +4,6 @@ and watch a transferred FGSM attack bounce off.
 Run with:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.attacks import FGSM
 from repro.core import DefensiveApproximation, select_correctly_classified, transfer_counts
 from repro.datasets import generate_digits, train_test_split

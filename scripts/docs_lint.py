@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/source consistency lint (CI's docs-lint job).
 
-Three checks, two-way where that makes sense:
+Four checks, two-way where that makes sense:
 
 1. **Environment variables** -- every ``REPRO_*`` name read anywhere in
    ``src/`` or ``benchmarks/`` must be documented in
@@ -18,6 +18,12 @@ Three checks, two-way where that makes sense:
    ``benchmarks/`` paths are left alone: ``benchmarks/results/`` is
    git-ignored output that need not exist in a checkout.
 
+4. **Unused imports** -- every module-level import in the Python files
+   under ``src/``, ``tests/``, ``examples/``, ``scripts/`` and
+   ``benchmarks/`` must be used in its module (a stdlib ``ast`` scan).
+   ``__init__.py`` files, ``__future__`` imports and names listed in the
+   module's ``__all__`` are exempt: those imports are the re-exports.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.  No
 dependencies beyond the standard library, so it runs anywhere CI does:
 
@@ -26,6 +32,7 @@ dependencies beyond the standard library, so it runs anywhere CI does:
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -43,6 +50,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: inline code spans naming a repo path, e.g. `src/repro/store/`
 PATH_RE = re.compile(r"`((?:src|tests|examples|scripts)/[^`\s]*)`")
+
+#: Python trees whose module-level imports must all be used
+IMPORT_DIRS = ("src", "tests", "examples", "scripts", "benchmarks")
 
 
 def source_env_vars() -> dict:
@@ -114,8 +124,54 @@ def check_paths() -> list:
     ]
 
 
+def _module_imports(body: list):
+    """Import statements of a module body, inside top-level ``if``/``try`` too."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                yield from _module_imports(block)
+            for handler in getattr(node, "handlers", []):
+                yield from _module_imports(handler.body)
+
+
+def unused_imports(source: str) -> list:
+    """``(line, name)`` of every module-level import ``source`` never uses."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(
+                const.value
+                for const in ast.walk(node.value)
+                if isinstance(const, ast.Constant) and isinstance(const.value, str)
+            )
+    unused = []
+    for node in _module_imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def check_imports() -> list:
+    return [
+        f"{path.relative_to(REPO)}:{line}: unused import {name}"
+        for directory in IMPORT_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path.read_text())
+    ]
+
+
 def main() -> int:
-    errors = check_env_vars() + check_links() + check_paths()
+    errors = check_env_vars() + check_links() + check_paths() + check_imports()
     for error in errors:
         print(f"docs-lint: {error}", file=sys.stderr)
     if errors:

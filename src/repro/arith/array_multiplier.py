@@ -28,11 +28,11 @@ error grows with the operand magnitude.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from repro.arith.adders import ADDER_CELLS, AdderCell, ExactFullAdder
+from repro.arith.adders import ADDER_CELLS, AdderCell
 
 
 def _resolve_cell(cell: Union[str, AdderCell]) -> AdderCell:

@@ -31,14 +31,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.arith.adders import AdderCell
 from repro.arith.array_multiplier import (
     ArrayMultiplier,
-    CellPolicy,
     HeterogeneousCellPolicy,
     UniformCellPolicy,
 )
-from repro.arith.float_format import bfloat16_truncate, compose_float32, decompose_float32
+from repro.arith.float_format import bfloat16_truncate, decompose_float32
 from repro.registry import registry
 
 #: unified registry of multiplier hardware models (namespace ``"multiplier"``)

@@ -7,7 +7,7 @@ to ``[0, 1]``.  The generator is fully deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import ndimage

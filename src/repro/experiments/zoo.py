@@ -34,11 +34,10 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Dict, Tuple
 
-import numpy as np
-
 from repro.datasets import DataSplit, generate_digits, generate_objects, train_test_split
 from repro.nn import SGD, Adam, build_alexnet, build_dq_cnn, build_lenet5, train_classifier
 from repro.nn.network import Sequential
+from repro.obs import TRACER
 from repro.parallel.locks import FileLock, atomic_path
 from repro.registry import registry
 
@@ -243,7 +242,8 @@ def _cached_model(
     with FileLock(cache_path.with_name(cache_path.name + ".lock")):
         if _try_load(model, cache_path):  # trained elsewhere while we waited
             return model
-        trainer(model)
+        with TRACER.span("zoo.train", cat="zoo", model=cache_name):
+            trainer(model)
         _save_atomic(model, cache_path)
     return model
 
@@ -409,7 +409,8 @@ def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
     arch, schedule = recipe["arch"], recipe["schedule"]
     exact_model, split = lenet_digits(fast=fast)
     victim_model = convert_to_approximate(exact_model) if victim == "da" else exact_model
-    cache_path = zoo_cache_path(f"substitute_{victim}_digits{_suffix(fast)}", "substitute_digits")
+    cache_name = f"substitute_{victim}_digits{_suffix(fast)}"
+    cache_path = zoo_cache_path(cache_name, "substitute_digits")
 
     def build() -> Sequential:
         return build_lenet5(
@@ -430,15 +431,16 @@ def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
         from repro.core.substitute import train_substitute
 
         n_queries = recipe["queries"]["fast_n_queries" if fast else "n_queries"]
-        substitute = train_substitute(
-            victim_model.predict,
-            split.train.images[:n_queries],
-            build_model=build,
-            epochs=schedule["fast_epochs"] if fast else schedule["epochs"],
-            augmentation_rounds=schedule[
-                "fast_augmentation_rounds" if fast else "augmentation_rounds"
-            ],
-            seed=schedule["seed"],
-        )
+        with TRACER.span("zoo.train", cat="zoo", model=cache_name):
+            substitute = train_substitute(
+                victim_model.predict,
+                split.train.images[:n_queries],
+                build_model=build,
+                epochs=schedule["fast_epochs"] if fast else schedule["epochs"],
+                augmentation_rounds=schedule[
+                    "fast_augmentation_rounds" if fast else "augmentation_rounds"
+                ],
+                seed=schedule["seed"],
+            )
         _save_atomic(substitute, cache_path)
     return substitute

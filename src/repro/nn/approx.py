@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.arith.fpm import AxFPM, Multiplier
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d, Linear, Module, Parameter
+from repro.nn.layers import Conv2d, Linear
 
 
 class _KernelHolder:

@@ -21,10 +21,25 @@ inside a batch-8 call.  Two constructions restore invariance:
   zero-padded column blocks: each output column is then a pure function of
   its own input column, independent of position and neighbours.
 
-Parameter-gradient GEMMs (``grad.T @ x``) reduce *over* the batch and are
-inherently batch-shaped; they only feed training and keep the fast fused
-path.  The batched attack engine (:mod:`repro.attacks.batched`) relies on
-this contract for its bit-for-bit active-set rollouts.
+Training-mode convolutions (``batch_invariant=False``) are batch-shaped
+anyway through BatchNorm and the batch-mean loss, so they issue one
+whole-batch GEMM per contraction instead (see :func:`conv2d_forward` and
+:func:`conv2d_backward`); parameter-gradient GEMMs (``grad.T @ x``) reduce
+*over* the batch and always take that whole-batch path.  The batched attack
+engine (:mod:`repro.attacks.batched`) relies on the eval-mode contract for
+its bit-for-bit active-set rollouts.
+
+Training numerics
+-----------------
+The whole-batch training GEMMs reproduce, call for call, the ``matmul``
+calls that ``np.einsum(..., optimize=True)`` lowered these contractions to
+when they were written as einsums: the same operand order, shapes and
+contiguity, hence the same BLAS kernels and the same bits in the trained
+weights.  Two details matter for that (``docs/architecture.md``): weight
+gradients multiply a C-contiguous ``(K, N*L)`` copy of the columns (a
+transposed view takes another BLAS path), and the forward output keeps the
+GEMM's physically NHWC layout (BatchNorm's batch statistics reduce in
+memory order, so a C-contiguous copy changes their bits).
 """
 
 from __future__ import annotations
@@ -172,9 +187,10 @@ def conv2d_forward(
     """Exact convolution forward pass.
 
     Returns ``(output, columns)`` where ``columns`` is the im2col buffer needed
-    by the backward pass.  ``batch_invariant=False`` (training-mode passes,
-    which are batch-shaped anyway through BatchNorm and the batch-mean loss)
-    keeps the fused whole-batch einsum instead of the per-example GEMMs.
+    by the backward pass.  ``batch_invariant=False`` (training-mode passes)
+    issues one whole-batch ``(N*L, K) x (K, F)`` GEMM instead of the
+    per-example GEMMs and returns the output as a physically NHWC view (see
+    "Training numerics" in the module docstring).
     """
     n, _, h, w = x.shape
     f, _, kh, kw = weight.shape
@@ -188,10 +204,13 @@ def conv2d_forward(
         out = np.empty((n, f, l), dtype=np.float32)
         for i in range(n):
             out[i] = w_mat @ cols[i]
+        out += bias.reshape(1, f, 1)
+        out = out.reshape(n, f, out_h, out_w)
     else:
-        out = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=True)
-    out += bias.reshape(1, f, 1)
-    return out.reshape(n, f, out_h, out_w).astype(np.float32), cols
+        out = cols.transpose(0, 2, 1).reshape(n * l, -1) @ w_mat.T  # (N*L, F)
+        out += bias
+        out = out.reshape(n, out_h, out_w, f).transpose(0, 3, 1, 2)
+    return out.astype(np.float32, copy=False), cols
 
 
 def conv2d_backward(
@@ -209,32 +228,34 @@ def conv2d_backward(
     Returns ``(grad_input, grad_weight, grad_bias)``; with
     ``with_param_grads=False`` the parameter gradients are skipped (returned
     as ``None``) -- the attack-facing input-gradient path never reads them.
-    ``batch_invariant=False`` (training) keeps the fused whole-batch einsum
-    for the column gradient.
+    ``batch_invariant=False`` (training) computes the column gradient as one
+    whole-batch ``(N*L, F) x (F, K)`` GEMM.
     """
     n, f, out_h, out_w = grad_out.shape
     _, _, kh, kw = weight.shape
-    grad_mat = grad_out.reshape(n, f, out_h * out_w)  # (N, F, L)
+    k, l = cols.shape[1:]
     w_mat = weight.reshape(f, -1)  # (F, K)
-
+    grad_weight = grad_bias = g = None
+    if with_param_grads or not batch_invariant:
+        # grad_out as one C-contiguous (N*L, F) matrix, shared by both GEMMs
+        g = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(n * l, f)
     if with_param_grads:
-        # parameter gradients reduce over the batch (training-only; no batch
-        # invariance required) and keep the fused einsum path
-        grad_weight = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True).reshape(
-            weight.shape
-        )
+        # parameter gradients reduce over the batch: one whole-batch GEMM
+        # against a C-contiguous (K, N*L) copy of the columns
+        cols_kn = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(k, n * l)
+        grad_weight = (cols_kn @ g).T.reshape(weight.shape)
         grad_bias = grad_out.sum(axis=(0, 2, 3))
-    else:
-        grad_weight = grad_bias = None
     if batch_invariant:
         # the input gradient feeds the attacks' BPDA path: per-example GEMMs
         # of constant shape (K, F) x (F, L), batch-invariant like the forward
+        grad_mat = grad_out.reshape(n, f, l)  # (N, F, L)
         grad_cols = np.empty_like(cols)
         w_t = np.ascontiguousarray(w_mat.T)
-        for i in range(len(grad_mat)):
+        for i in range(n):
             grad_cols[i] = w_t @ grad_mat[i]
     else:
-        grad_cols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
+        # (N*L, K) -> contiguous (N, K, L), so col2im reads unit strides
+        grad_cols = np.ascontiguousarray((g @ w_mat).reshape(n, l, k).transpose(0, 2, 1))
     grad_input = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
     return (
         grad_input.astype(np.float32),

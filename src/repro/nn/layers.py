@@ -376,14 +376,12 @@ class BatchNorm2d(Module):
         if not was_training:
             # running statistics are constants w.r.t. the input
             return (grad_out * gamma_b / std).astype(np.float32)
-        n = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
         grad_xhat = grad_out * gamma_b
         grad_in = (
             grad_xhat
             - grad_xhat.mean(axis=(0, 2, 3), keepdims=True)
             - x_hat * (grad_xhat * x_hat).mean(axis=(0, 2, 3), keepdims=True)
         ) / std
-        del n
         return grad_in.astype(np.float32)
 
     def parameters(self) -> List[Parameter]:

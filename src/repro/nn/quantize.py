@@ -16,11 +16,11 @@ benchmarks, matching Table 5 / Appendix B: *weight-only* quantisation and
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.nn.layers import Conv2d, Linear, Module, Parameter
+from repro.nn.layers import Conv2d, Linear, Module
 
 
 def quantize_tensor(x: np.ndarray, bits: int) -> np.ndarray:

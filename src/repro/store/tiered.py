@@ -40,7 +40,7 @@ import queue
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional
 
 from repro.store.local import ArtifactStore
 from repro.store.remote import (

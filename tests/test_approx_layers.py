@@ -1,13 +1,11 @@
 """Tests for the approximate (DA) convolution and dense layers."""
 
 import numpy as np
-import pytest
 
 from repro.arith.fpm import AxFPM, ExactMultiplier
 from repro.nn.approx import ApproxConv2d, ApproxLinear
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.models import build_lenet5, convert_to_approximate, convert_to_bfloat16
-from repro.nn.network import Sequential
 
 
 def test_approx_conv_with_exact_multiplier_matches_exact_conv():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conv_reference import einsum_conv2d_backward, einsum_conv2d_forward
 
 from repro.nn import functional as F
 
@@ -108,6 +109,71 @@ def test_conv2d_backward_weight_gradient_matches_numerical():
         lambda ww: F.conv2d_forward(x, ww.astype(np.float32), b)[0], w.copy(), grad_out
     )
     np.testing.assert_allclose(grad_w, num_grad, rtol=1e-2, atol=1e-3)
+
+
+#: every conv layer of the zoo: (input (C, H, W), weight shape, padding);
+#: stride is 1 throughout.  Digit models train on batches of 64 with ragged
+#: last batches of 36 (fast LeNet), 16 (substitute) and 44 (full LeNet);
+#: object models on 64 with a ragged 32 (full AlexNet / DQ).
+DIGIT_BATCHES = (64, 36, 16, 44)
+OBJECT_BATCHES = (64, 32)
+ZOO_CONV_LAYERS = [
+    pytest.param((1, 16, 16), (12, 1, 3, 3), 0, DIGIT_BATCHES, id="lenet-conv1"),
+    pytest.param((12, 7, 7), (24, 12, 3, 3), 0, DIGIT_BATCHES, id="lenet-conv2"),
+    pytest.param((1, 16, 16), (8, 1, 3, 3), 0, DIGIT_BATCHES, id="substitute-conv1"),
+    pytest.param((8, 7, 7), (16, 8, 3, 3), 0, DIGIT_BATCHES, id="substitute-conv2"),
+    pytest.param((3, 32, 32), (8, 3, 3, 3), 1, OBJECT_BATCHES, id="alexnet-dq-conv1"),
+    pytest.param((8, 16, 16), (16, 8, 3, 3), 1, OBJECT_BATCHES, id="alexnet-conv2"),
+    pytest.param((16, 8, 8), (24, 16, 3, 3), 1, OBJECT_BATCHES, id="alexnet-conv3-dq-conv5"),
+    pytest.param((24, 8, 8), (24, 24, 3, 3), 1, OBJECT_BATCHES, id="alexnet-conv4-dq-conv6"),
+    pytest.param((24, 8, 8), (16, 24, 3, 3), 1, OBJECT_BATCHES, id="alexnet-conv5"),
+    pytest.param((8, 32, 32), (8, 8, 3, 3), 1, OBJECT_BATCHES, id="dq-conv2"),
+    pytest.param((8, 16, 16), (16, 8, 3, 3), 1, OBJECT_BATCHES, id="dq-conv3"),
+    pytest.param((16, 16, 16), (16, 16, 3, 3), 1, OBJECT_BATCHES, id="dq-conv4"),
+]
+
+
+@pytest.mark.parametrize("in_shape,w_shape,padding,batches", ZOO_CONV_LAYERS)
+def test_training_conv_is_bitwise_the_einsum_reference(in_shape, w_shape, padding, batches):
+    rng = np.random.default_rng(sum(in_shape) + sum(w_shape))
+    weight = rng.normal(size=w_shape).astype(np.float32)
+    bias = rng.normal(size=w_shape[0]).astype(np.float32)
+    for n in batches:
+        x = rng.normal(size=(n, *in_shape)).astype(np.float32)
+        out, cols = F.conv2d_forward(x, weight, bias, 1, padding, batch_invariant=False)
+        ref_out, ref_cols = einsum_conv2d_forward(x, weight, bias, 1, padding)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(cols, ref_cols)
+        # the output's memory layout feeds BatchNorm's reductions: keep it
+        assert out.strides == ref_out.strides and out.dtype == ref_out.dtype
+
+        # grad_out as the next layer hands it back: C-contiguous, or in the
+        # forward output's own (physically NHWC) layout
+        grad_c = rng.normal(size=out.shape).astype(np.float32)
+        grad_nhwc = grad_c.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        for grad_out in (grad_c, grad_nhwc):
+            got = F.conv2d_backward(
+                grad_out, cols, x.shape, weight, 1, padding, batch_invariant=False
+            )
+            ref = einsum_conv2d_backward(grad_out, ref_cols, x.shape, weight, 1, padding)
+            for value, expected in zip(got, ref):
+                np.testing.assert_array_equal(value, expected)
+                assert value.strides == expected.strides
+
+
+def test_training_conv_input_gradient_without_param_grads():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 2, 7, 7)).astype(np.float32)
+    w = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+    out, cols = F.conv2d_forward(x, w, np.zeros(4, np.float32), batch_invariant=False)
+    grad_out = rng.normal(size=out.shape).astype(np.float32)
+    grad_in, grad_w, grad_b = F.conv2d_backward(
+        grad_out, cols, x.shape, w, with_param_grads=False, batch_invariant=False
+    )
+    assert grad_w is None and grad_b is None
+    np.testing.assert_array_equal(
+        grad_in, F.conv2d_backward(grad_out, cols, x.shape, w, batch_invariant=False)[0]
+    )
 
 
 # -------------------------------------------------------------------- pooling

@@ -9,7 +9,7 @@ rather than specific percentages.
 import numpy as np
 
 from repro.arith.fpm import HEAPMultiplier
-from repro.attacks import FGSM, PGD, DeepFool
+from repro.attacks import FGSM, DeepFool
 from repro.attacks.base import Classifier
 from repro.core.defense import DefensiveApproximation
 from repro.core.evaluation import select_correctly_classified, transfer_counts, whitebox_counts

@@ -310,13 +310,38 @@ def test_docs_lint_passes():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_docs_lint_reports_stale_source_paths():
+def _docs_lint():
     spec = importlib.util.spec_from_file_location("_docs_lint", DOCS_LINT)
     lint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lint)
+    return lint
+
+
+def test_docs_lint_reports_stale_source_paths():
+    lint = _docs_lint()
     snippet = (
         "The store lives in `src/repro/store.py`; cells in `src/repro/pipeline/cells.py`,\n"
         "tested by `tests/test_invalidation.py`; results land in\n"
         "`benchmarks/results/fig03.json`."
     )
     assert lint.missing_paths(snippet) == ["src/repro/store.py"]
+
+
+def test_docs_lint_reports_unused_module_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import List, Optional\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    json = None\n"
+        "from repro.nn import Sequential\n"
+        "__all__ = ['Sequential']\n"
+        "\n"
+        "def f(x: List[int]) -> int:\n"
+        "    import sys  # function-local: not a module-level import\n"
+        "    return np.sum(x)\n"
+    )
+    assert _docs_lint().unused_imports(source) == [(2, "os"), (4, "Optional")]

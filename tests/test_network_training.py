@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from conv_reference import einsum_training_convs
 
 from repro.datasets import generate_digits
-from repro.nn import Adam, CrossEntropyLoss, build_lenet5, evaluate_accuracy, train_classifier
-from repro.nn.layers import Flatten, Linear, ReLU
+from repro.experiments.zoo import DQ_OBJECTS_RECIPE, LENET_DIGITS_RECIPE
+from repro.nn import (
+    Adam,
+    CrossEntropyLoss,
+    build_dq_cnn,
+    build_lenet5,
+    evaluate_accuracy,
+    train_classifier,
+)
+from repro.nn import training as training_module
+from repro.nn.layers import BatchNorm2d, Flatten, Linear, ReLU
 from repro.nn.network import Sequential
 
 
@@ -114,6 +124,77 @@ def test_training_history_tracks_validation():
     )
     assert len(history.val_accuracies) == 3
     assert 0.0 <= history.final_val_accuracy <= 1.0
+
+
+def test_train_set_accuracy_needs_no_evaluation_pass(monkeypatch):
+    dataset = generate_digits(100, size=12, seed=14)
+    model = build_lenet5((1, 12, 12), conv_channels=(4, 8), fc_sizes=(24, 16), dropout=0.0)
+    calls = []
+
+    def counting_evaluate(model, x, y, batch_size=256):
+        calls.append(len(x))
+        return evaluate_accuracy(model, x, y, batch_size)
+
+    monkeypatch.setattr(training_module, "evaluate_accuracy", counting_evaluate)
+    optimizer = Adam(model.parameters(), lr=0.003)
+    images, labels = dataset.images, dataset.labels
+    history = train_classifier(model, optimizer, images, labels, epochs=2, batch_size=32)
+    assert calls == []
+    assert len(history.train_accuracies) == 2
+    assert all(0.0 <= acc <= 1.0 for acc in history.train_accuracies)
+
+    train_classifier(
+        model, optimizer, images[:80], labels[:80], images[80:], labels[80:], epochs=2
+    )
+    assert calls == [20, 20]  # the validation split only, once per epoch
+
+
+def _lenet_digits():
+    arch = LENET_DIGITS_RECIPE["arch"]
+    return build_lenet5(
+        (1, 16, 16),
+        conv_channels=tuple(arch["conv_channels"]),
+        fc_sizes=tuple(arch["fc_sizes"]),
+        dropout=arch["dropout"],
+        seed=arch["seed"],
+    )
+
+
+def _dq_full_objects():
+    return build_dq_cnn((3, 32, 32), bits=4, mode="full", seed=DQ_OBJECTS_RECIPE["arch"]["seed"])
+
+
+@pytest.mark.parametrize(
+    "build,input_shape,n_samples",
+    [
+        (_lenet_digits, (1, 16, 16), 64 * 2 + 36),  # fast LeNet's ragged batch
+        (_dq_full_objects, (3, 32, 32), 64 * 2 + 32),  # full DQ's ragged batch
+    ],
+    ids=["lenet", "dq_full"],
+)
+def test_three_training_steps_match_the_einsum_reference(build, input_shape, n_samples):
+    rng = np.random.default_rng(0)
+    x = rng.random((n_samples, *input_shape)).astype(np.float32)
+    y = rng.integers(0, 10, size=n_samples)
+
+    def train_three_steps() -> Sequential:
+        model = build()
+        optimizer = Adam(model.parameters(), lr=0.002)
+        train_classifier(model, optimizer, x, y, epochs=1, batch_size=64)
+        return model
+
+    model = train_three_steps()
+    with einsum_training_convs():
+        reference = train_three_steps()
+    # every parameter plus the BatchNorm running statistics (state buffers)
+    state, expected = model.state_dict(), reference.state_dict()
+    assert state.keys() == expected.keys()
+    for key in expected:
+        np.testing.assert_array_equal(state[key], expected[key], err_msg=key)
+    initial = build().state_dict()
+    assert any(np.any(state[key] != initial[key]) for key in state)  # it trained
+    n_batchnorms = sum(isinstance(layer, BatchNorm2d) for layer in model.layers)
+    assert sum("running_" in key for key in state) == 2 * n_batchnorms
 
 
 def test_evaluate_accuracy_bounds():

@@ -97,6 +97,34 @@ def test_attach_spools_into_foreign_scope(tmp_path):
     assert json.loads(spools[0].read_text())["name"] == "from-worker"
 
 
+def test_zoo_training_emits_one_span_per_trained_model(tmp_path, monkeypatch):
+    from repro.core import substitute as substitute_module
+    from repro.experiments import zoo
+
+    monkeypatch.setattr(zoo, "CACHE_DIR", tmp_path / "zoo")
+    trained = []
+    monkeypatch.setattr(zoo, "train_classifier", lambda model, *a, **k: trained.append(model))
+    monkeypatch.setattr(
+        substitute_module,
+        "train_substitute",
+        lambda predict, x, build_model, **kwargs: build_model(),
+    )
+    TRACER.configure(enabled=True, directory=tmp_path / "spool")
+    scope = TRACER.begin_run("zoo")
+    zoo.substitute_digits("exact", fast=True)  # trains the LeNet victim first
+    zoo.substitute_digits("exact", fast=True)  # both cached now: no spans
+    merged = tmp_path / "zoo.trace.ndjson"
+    TRACER.end_run(scope, merged)
+
+    spans = [json.loads(line) for line in merged.read_text().splitlines()]
+    train = [(s["cat"], s["args"]) for s in spans if s["name"] == "zoo.train"]
+    assert train == [
+        ("zoo", {"model": "lenet_digits_fast"}),
+        ("zoo", {"model": "substitute_exact_digits_fast"}),
+    ]
+    assert len(trained) == 1
+
+
 # ------------------------------------------------------------------ metrics
 def test_histogram_buckets_are_cumulative():
     hist = Histogram(buckets=(0.1, 1.0))
